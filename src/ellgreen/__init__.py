@@ -12,9 +12,6 @@ from .core import (
     evaluate_batch,
     membership,
     polydisc_value,
-    region_label,
-    select_d,
-    sort_first_k,
     weighted_am_gm,
 )
 from .certificates import (
@@ -81,8 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatchResult", "Ellipsoid", "EvalResult", "ball_value", "ball_value_batch",
-    "evaluate", "evaluate_batch", "membership", "polydisc_value", "region_label",
-    "select_d", "sort_first_k", "weighted_am_gm",
+    "evaluate", "evaluate_batch", "membership", "polydisc_value", "weighted_am_gm",
     "GreenCertificate", "MobiusCertificate", "MonomialWitness",
     "PoleProfileParams", "PolydiscEmbedding", "green_certificate",
     "mobius_certificate", "monomial_witness", "polydisc_embedding",

@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -519,5 +519,3 @@ def monomial_witness(ell: Ellipsoid, z: Point) -> MonomialWitness:
         coefficient=math.exp(log_coeff), base_value=res.value,
     )
 
-
-ProfileObjective = Callable[[np.ndarray], np.ndarray]

@@ -16,7 +16,9 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence, TextIO
 
-from .core import INTERIOR_TOL, Ellipsoid, evaluate, membership
+import numpy as np
+
+from .core import INTERIOR_TOL, Ellipsoid, evaluate, evaluate_batch, not_interior
 from .errors import (
     DomainError,
     HypothesisNotMet,
@@ -63,6 +65,17 @@ def _require_domain(cfg: dict) -> Ellipsoid:
     if not isinstance(cfg["k"], int):
         raise InputError("config field 'k': must be an integer")
     return Ellipsoid(p=p_t, k=cfg["k"])
+
+
+def _int_field(cfg: dict, name: str, default: int, minimum: int) -> int:
+    value = cfg.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise InputError(f"config field '{name}': must be an integer >= {minimum}")
+    return value
+
+
+def _seed(cfg: dict, args: argparse.Namespace) -> int:
+    return args.seed if args.seed is not None else _int_field(cfg, "seed", 0, 0)
 
 
 def _parse_complex(entry: Any, where: str) -> complex:
@@ -112,27 +125,24 @@ def _cmd_eval(cfg: dict, args: argparse.Namespace) -> int:
     ell = _require_domain(cfg)
     points = _parse_points(cfg, ell.n)
     tol = args.tol if args.tol is not None else INTERIOR_TOL
+    res = evaluate_batch(ell, np.abs(np.array(points)), interior_tol=tol)
     stream, close = _open_out(args)
-    failed = 0
     try:
-        for z in points:
+        for i, z in enumerate(points):
             record: dict[str, Any] = {"z": [[c.real, c.imag] for c in z]}
-            try:
-                res = evaluate(ell, z, interior_tol=tol)
-            except (DomainError, InputError) as exc:
-                record["error"] = str(exc)
-                failed += 1
-            else:
+            if res.inside[i]:
                 record.update(
-                    R=res.value, d=res.d,
-                    region=[j + 1 for j in res.region],
-                    q_d=res.q_d, r_d=res.r_d, c_d=res.c_d,
+                    R=float(res.value[i]), d=int(res.d[i]),
+                    region=[int(j) + 1 for j in np.flatnonzero(res.region[i])],
+                    q_d=float(res.q_d[i]), r_d=float(res.r_d[i]), c_d=float(res.c_d[i]),
                 )
+            else:
+                record["error"] = str(not_interior(float(res.slack[i]), tol))
             _emit(stream, record)
     finally:
         if close:
             stream.close()
-    return 2 if failed == len(points) else 0
+    return 0 if res.inside.any() else 2
 
 
 def _sweep_spec(cfg: dict, ell: Ellipsoid) -> tuple[int, int, list[float], list[float], list[float]]:
@@ -176,27 +186,24 @@ def _cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
     ell = _require_domain(cfg)
     j1, j2, v1, v2, base = _sweep_spec(cfg, ell)
     tol = args.tol if args.tol is not None else INTERIOR_TOL
+    grid = np.tile(np.asarray(base, dtype=float), (len(v1) * len(v2), 1))
+    grid[:, j1] = np.repeat(v1, len(v2))
+    grid[:, j2] = np.tile(v2, len(v1))
+    res = evaluate_batch(ell, grid, interior_tol=tol)
     stream, close = _open_out(args)
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow([f"z{j + 1}" for j in range(ell.n)] + ["R", "d", "region"])
-        for x1 in v1:
-            for x2 in v2:
-                moduli = list(base)
-                moduli[j1] = x1
-                moduli[j2] = x2
-                row = [_fmt(m) for m in moduli]
-                inside, _ = membership(ell, [complex(m) for m in moduli])
-                if not inside:
-                    writer.writerow(row + ["", "", ""])
-                    continue
-                res = evaluate(ell, [complex(m) for m in moduli], interior_tol=tol)
-                writer.writerow(
-                    row + [
-                        _fmt(res.value), str(res.d),
-                        ";".join(str(j + 1) for j in res.region),
-                    ]
-                )
+        for i, moduli in enumerate(grid):
+            row = [_fmt(m) for m in moduli]
+            if res.inside[i]:
+                row += [
+                    _fmt(res.value[i]), str(int(res.d[i])),
+                    ";".join(str(int(j) + 1) for j in np.flatnonzero(res.region[i])),
+                ]
+            else:
+                row += ["", "", ""]
+            writer.writerow(row)
     finally:
         if close:
             stream.close()
@@ -223,10 +230,8 @@ def _cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
             f"config field 'suite': expected one of {sorted(_SUITE_KNOBS)}, got {suite!r}"
         )
     knob, default = _SUITE_KNOBS[suite]
-    budget = cfg.get(knob, default)
-    if not isinstance(budget, int) or budget <= 0:
-        raise InputError(f"config field '{knob}': must be a positive integer")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    budget = _int_field(cfg, knob, default, 1)
+    seed = _seed(cfg, args)
     fn = {
         "ball": verify_mod.suite_ball,
         "soundness": verify_mod.suite_soundness,
@@ -268,7 +273,7 @@ def _cmd_certify(cfg: dict, args: argparse.Namespace) -> int:
             f"config field 'certificate': expected green, mobius or both, got {which!r}"
         )
     kinds = ("green", "mobius") if which == "both" else (which,)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _seed(cfg, args)
     vcfg = VerifyConfig()
     stream, close = _open_out(args)
     failed_points = 0
@@ -334,15 +339,13 @@ def _cmd_gap(cfg: dict, args: argparse.Namespace) -> int:
         z = tuple(complex(m) for m in moduli)
     res = evaluate(ell, z)
     window = ObstructionWindow.find(p=2.0 * ell.p[j_small], q=res.q_d)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    trials = int(cfg.get("trials", 200))
-    samples = int(cfg.get("samples", 10_000))
+    seed = _seed(cfg, args)
     report = exclusion_demo(
-        window.p, window.q, window, trials=trials, samples=samples, seed=seed,
-        collect=3,
+        window.p, window.q, window, trials=_int_field(cfg, "trials", 200, 1),
+        samples=_int_field(cfg, "samples", 10_000, 2), seed=seed, collect=3,
     )
     search = candidate_family_search(
-        ell, z, budget=int(cfg.get("families_budget", 20_000)), seed=seed
+        ell, z, budget=_int_field(cfg, "families_budget", 20_000, 1), seed=seed
     )
 
     out_dir = _gap_outputs(args.out)

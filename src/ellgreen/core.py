@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import DomainError, InputError, InvariantViolation
 
 logger = logging.getLogger(__name__)
 
-# Interior gate: points with slack at or below this are refused by evaluate().
+# Interior gate: rows with slack at or below this are not evaluated.
 # membership() itself reports the raw sign of the slack.
 INTERIOR_TOL = 1e-14
 
@@ -62,17 +62,6 @@ class Ellipsoid:
     @property
     def n(self) -> int:
         return len(self.p)
-
-
-class SelectionRow(NamedTuple):
-    """Per-prefix bookkeeping for the piecewise branch choice (s is 1-based)."""
-
-    s: int
-    load: float  # 2 p_s |z_s|^(2 p_s) in sorted order
-    q: float
-    r: float
-    c: float
-    satisfied: bool  # load <= c
 
 
 @dataclass(frozen=True)
@@ -106,95 +95,29 @@ def membership(ell: Ellipsoid, z: Point) -> tuple[bool, float]:
     return slack > 0.0, slack
 
 
-def sort_first_k(ell: Ellipsoid, z: Point) -> tuple[tuple[int, ...], tuple[complex, ...], tuple[float, ...]]:
-    """Stable-sort the first k coordinates by the key p_j |z_j|^(2 p_j).
-
-    Returns (perm, z_sorted, p_sorted); coordinates past k are untouched.
-    Ties keep input order (stable), so degenerate inputs stay deterministic.
-    """
-    m = _moduli(z, ell.n)
-    zt = [complex(c) for c in z]
-    keys = [ell.p[j] * m[j] ** (2.0 * ell.p[j]) for j in range(ell.k)]
-    head = sorted(range(ell.k), key=keys.__getitem__)
-    perm = tuple(head) + tuple(range(ell.k, ell.n))
-    return perm, tuple(zt[j] for j in perm), tuple(ell.p[j] for j in perm)
-
-
-def select_d(ell: Ellipsoid, z_sorted: Point) -> tuple[int, list[SelectionRow]]:
-    """Pick the branch index d for an already-sorted interior point.
-
-    Requires the first-k keys to be nondecreasing (raises InputError
-    otherwise) and z interior (raises DomainError).  d is the literal
-    maximum of the satisfied set; a non-contiguous satisfied set cannot
-    occur for exact arithmetic and is logged if float ties produce one.
-    """
-    p = ell.p
-    k = ell.k
-    m = _moduli(z_sorted, ell.n)
-    y = [m[j] ** (2.0 * p[j]) for j in range(ell.n)]
-    keys = [p[j] * y[j] for j in range(k)]
-    for j in range(k - 1):
-        if keys[j] > keys[j + 1]:
-            raise InputError(
-                f"first-{k} keys not nondecreasing at position {j}: {keys[j]} > {keys[j + 1]}"
-            )
-    slack = 1.0 - math.fsum(y)
-    if slack <= 0.0:
-        raise DomainError(f"point is not interior (slack {slack})")
-
-    rows: list[SelectionRow] = []
-    q = 0.0
-    for s in range(1, k + 1):
-        q += 1.0 / (2.0 * p[s - 1])
-        r = 1.0 - math.fsum(y[s:])
-        c = r / q
-        load = 2.0 * keys[s - 1]
-        rows.append(SelectionRow(s=s, load=load, q=q, r=r, c=c, satisfied=load <= c))
-
-    satisfied = [row.s for row in rows if row.satisfied]
-    if not satisfied:
-        # The s=1 condition is equivalent to interiority, so this cannot happen.
-        raise InvariantViolation(f"no branch satisfied for interior point {z_sorted!r}")
-    d = satisfied[-1]
-    if satisfied != list(range(1, d + 1)):
-        logger.warning("non-contiguous branch candidate set %s at %r", satisfied, z_sorted)
-    return d, rows
+def not_interior(slack: float, interior_tol: float) -> DomainError:
+    """The error for a point whose slack fails the interior gate."""
+    return DomainError(f"point not interior (slack {slack:.3e} <= {interior_tol:.0e})")
 
 
 def evaluate(ell: Ellipsoid, z: Point, *, interior_tol: float = INTERIOR_TOL) -> EvalResult:
-    """Full pipeline: validate, sort, select d, and form the product.
+    """One-row view of evaluate_batch at a complex point.
 
-    Raises DomainError unless the membership slack exceeds interior_tol.
+    Raises DomainError unless the slack exceeds interior_tol.
     The value is exactly 0.0 when some z_j = 0 with j <= k.
     """
-    inside, slack = membership(ell, z)
-    if slack <= interior_tol:
-        raise DomainError(f"point not interior (slack {slack:.3e} <= {interior_tol:.0e})")
-    perm, zs, ps = sort_first_k(ell, z)
-    ell_s = Ellipsoid(ps, ell.k)
-    d, rows = select_d(ell_s, zs)
-    row = rows[d - 1]
-    region = tuple(sorted(perm[:d]))
-
-    ms = [abs(c) for c in zs[:d]]
-    if min(ms) == 0.0:
-        value = 0.0  # zero factor; skip the log-space product entirely
-    else:
-        log_c = math.log(row.c)
-        log_value = math.fsum(
-            math.log(ms[j]) + (math.log(2.0 * ps[j]) - log_c) / (2.0 * ps[j]) for j in range(d)
-        )
-        value = math.exp(log_value)
-    return EvalResult(value=value, d=d, perm=perm, q_d=row.q, r_d=row.r, c_d=row.c, region=region)
-
-
-def region_label(ell: Ellipsoid, z: Point) -> tuple[int, ...]:
-    """Original indices of the coordinates entering the product at z.
-
-    Computed lazily from a full evaluation; zero coordinates sort first,
-    so degenerate points get the label of their limit region.
-    """
-    return evaluate(ell, z).region
+    res = evaluate_batch(ell, np.array([_moduli(z, ell.n)]), interior_tol=interior_tol)
+    if not res.inside[0]:
+        raise not_interior(float(res.slack[0]), interior_tol)
+    return EvalResult(
+        value=float(res.value[0]),
+        d=int(res.d[0]),
+        perm=tuple(int(j) for j in res.order[0]) + tuple(range(ell.k, ell.n)),
+        q_d=float(res.q_d[0]),
+        r_d=float(res.r_d[0]),
+        c_d=float(res.c_d[0]),
+        region=tuple(int(j) for j in np.flatnonzero(res.region[0])),
+    )
 
 
 def ball_value(z: Point, k: int) -> float:
@@ -270,8 +193,9 @@ class BatchResult:
     """Vectorized evaluation over a matrix of moduli (one point per row).
 
     Rows failing the interior gate get inside=False and NaN statistics.
-    cond is the per-prefix branch condition, region a boolean mask over
-    the first k original coordinates.
+    order is the stable key sort of the first k coordinates (order[i, s] =
+    original index of sorted slot s), region a boolean mask over the first
+    k original coordinates.
     """
 
     value: np.ndarray
@@ -281,28 +205,37 @@ class BatchResult:
     c_d: np.ndarray
     slack: np.ndarray
     inside: np.ndarray
-    cond: np.ndarray
+    order: np.ndarray
     region: np.ndarray
-    noncontiguous: np.ndarray
 
 
+# Rows outside the domain may overflow, or take the log of c <= 0; they are
+# masked to NaN at the end.  On interior rows the only such event is log(0)
+# at a zero pole modulus, which gives the exact value 0.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def evaluate_batch(ell: Ellipsoid, moduli: np.ndarray, *, interior_tol: float = INTERIOR_TOL) -> BatchResult:
-    """Same branch rule and product as evaluate(), over an (m, n) moduli array.
+    """The branch rule and product of the module docstring over an (m, n)
+    moduli array: the one implementation that evaluate() and the CLI use.
 
-    Matches the scalar path's comparison form (load <= r/q) so the selected
-    d agrees between the two routes.
+    Ties in the key sort keep input order, so degenerate inputs stay
+    deterministic.  d is the literal maximum of the satisfied set; a
+    non-contiguous satisfied set cannot occur for exact arithmetic and is
+    logged if float ties produce one.
     """
     x = np.asarray(moduli, dtype=float)
     if x.ndim != 2 or x.shape[1] != ell.n:
         raise InputError(f"moduli must be (m, {ell.n}), got {x.shape}")
     if np.any(x < 0.0) or not np.all(np.isfinite(x)):
         raise InputError("moduli must be nonnegative finite")
+    if not interior_tol >= 0.0:
+        raise InputError(f"interior tolerance must be >= 0, got {interior_tol}")
     m_rows = x.shape[0]
     k = ell.k
     p = np.asarray(ell.p)
 
     y = x ** (2.0 * p)
-    slack = 1.0 - y.sum(axis=1)
+    total = y.sum(axis=1)
+    slack = 1.0 - total
     inside = slack > interior_tol
 
     keys = p[:k] * y[:, :k]
@@ -315,7 +248,7 @@ def evaluate_batch(ell: Ellipsoid, moduli: np.ndarray, *, interior_tol: float = 
     q = np.cumsum(inv2p, axis=1)
     # r_s = 1 - (total - prefix_s) = slack' + prefix_s with the full sum removed
     prefix = np.cumsum(y_h, axis=1)
-    r = 1.0 - (y.sum(axis=1)[:, None] - prefix)
+    r = 1.0 - (total[:, None] - prefix)
     c = r / q
     load = 2.0 * p_h * y_h
     cond = load <= c
@@ -324,6 +257,7 @@ def evaluate_batch(ell: Ellipsoid, moduli: np.ndarray, *, interior_tol: float = 
     last_true = k - 1 - np.argmax(cond[:, ::-1], axis=1)
     d = np.where(any_true, last_true + 1, 0)
     if np.any(inside & ~any_true):
+        # The s=1 condition is equivalent to interiority, so this cannot happen.
         idx = int(np.argmax(inside & ~any_true))
         raise InvariantViolation(f"no branch satisfied for interior row {idx}")
 
@@ -338,13 +272,11 @@ def evaluate_batch(ell: Ellipsoid, moduli: np.ndarray, *, interior_tol: float = 
     r_d = np.take_along_axis(r, gather, axis=1)[:, 0]
     c_d = np.take_along_axis(c, gather, axis=1)[:, 0]
 
-    with np.errstate(divide="ignore"):
-        log_x = np.log(x_h)
+    log_x = np.log(x_h)
     terms = log_x + (np.log(2.0 * p_h) - np.log(c_d)[:, None]) * inv2p
     active = np.arange(k)[None, :] < d[:, None]
     log_value = np.where(active, terms, 0.0).sum(axis=1)
-    with np.errstate(over="ignore"):
-        value = np.exp(log_value)
+    value = np.exp(log_value)
 
     region = np.zeros((m_rows, k), dtype=bool)
     np.put_along_axis(region, order, active, axis=1)
@@ -358,7 +290,7 @@ def evaluate_batch(ell: Ellipsoid, moduli: np.ndarray, *, interior_tol: float = 
     region &= inside[:, None]
     return BatchResult(
         value=value, d=d, q_d=q_d, r_d=r_d, c_d=c_d, slack=slack, inside=inside,
-        cond=cond, region=region, noncontiguous=noncontiguous,
+        order=order, region=region,
     )
 
 

@@ -167,6 +167,8 @@ def exclusion_demo(
     The grid argmax is polished by a golden-section pass over its bracket
     before classification, since the grid spacing exceeds the 1e-6 slack.
     """
+    if samples < 2:
+        raise InputError(f"exclusion scan needs samples >= 2, got {samples}")
     rng = np.random.default_rng(seed)
     gen = generator if generator is not None else random_polynomials(rng)
     t = np.linspace(0.0, window.b, samples)

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
-from .core import Ellipsoid, evaluate, evaluate_batch, membership, polydisc_value
-from .errors import InputError, InvariantViolation
+from .core import Ellipsoid, evaluate, evaluate_batch, polydisc_value
+from .errors import DomainError, InputError, InvariantViolation
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -114,19 +113,6 @@ def sample_interior(
     phases = rng.uniform(0.0, 2.0 * math.pi, size=moduli.shape)
     return moduli * np.exp(1j * phases)
 
-def sample_box_moduli(
-    bounds: Sequence[tuple[float, float]],
-    count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sobol rows in a product of intervals (dimension-balanced coverage)."""
-    dims = len(bounds)
-    sampler = qmc.Sobol(d=dims, scramble=True, seed=rng)
-    u = sampler.random(count)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    return lo + (hi - lo) * u
-
 
 def sample_cube_rejection_moduli(
     ell: Ellipsoid,
@@ -159,42 +145,6 @@ def sample_cube_rejection_moduli(
             f"cube rejection kept {have}/{count} rows; exponents too small for it"
         )
     return np.vstack(rows)[:count]
-
-
-def sample_sup_moduli(
-    two_p: np.ndarray,
-    count: int,
-    rng: np.random.Generator,
-    *,
-    boundary_slacks: Sequence[float] = (1e-2, 1e-4),
-) -> np.ndarray:
-    """Tail-domain moduli for sup testing: Sobol bulk plus rows pushed to
-    within the given slacks of the boundary, where sup violations hide."""
-    dims = len(two_p)
-    if dims == 0:
-        return np.zeros((1, 0))
-    sampler = qmc.Sobol(d=dims, scramble=True, seed=rng)
-    u = sampler.random(count)
-    # map the cube onto the domain by normalizing rows that overflow
-    mass = (u ** two_p[None, :]).sum(axis=1)
-    scale = np.where(mass >= 1.0, (0.999 / mass) ** (1.0 / two_p.min()), 1.0)
-    bulk = u * scale[:, None]
-    pushed = []
-    n_push = max(count // 4, 8)
-    for slack in boundary_slacks:
-        rows = bulk[rng.integers(0, bulk.shape[0], size=n_push)].copy()
-        m = (rows ** two_p[None, :]).sum(axis=1)
-        ok = m > 0.0
-        factor = np.ones_like(m)
-        factor[ok] = ((1.0 - slack) / m[ok]) ** (1.0 / two_p.max())
-        # per-row bisection to land the mass at 1 - slack exactly enough
-        for _ in range(40):
-            m2 = ((rows * factor[:, None]) ** two_p[None, :]).sum(axis=1)
-            factor[ok] *= np.where(m2[ok] > 0.0, ((1.0 - slack) / m2[ok]) ** 0.5, 1.0)
-        pushed.append(rows * factor[:, None])
-    out = np.vstack([bulk] + pushed)
-    mass = (out ** two_p[None, :]).sum(axis=1)
-    return out[mass < 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -391,17 +341,17 @@ def polydisc_ladder(
 ) -> list[tuple[float, float]]:
     """(P, value) pairs for the equal-exponent domains through z.
 
-    Rungs where z is not interior for that exponent are skipped (small
-    exponents shrink the domain).
+    Rungs where z fails evaluate's interior gate for that exponent are
+    skipped (small exponents shrink the domain).
     """
     n = len(z)
     out = []
     for P in exponents:
-        ell = Ellipsoid(p=(float(P),) * n, k=k)
-        inside, _ = membership(ell, z)
-        if not inside:
+        try:
+            value = evaluate(Ellipsoid(p=(float(P),) * n, k=k), z).value
+        except DomainError:
             continue
-        out.append((float(P), evaluate(ell, z).value))
+        out.append((float(P), value))
     return out
 
 

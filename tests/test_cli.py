@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -191,6 +192,22 @@ def test_sweep_17_digit_floats(tmp_path, capsys):
     assert row[0] == "0.10000000000000001"
 
 
+def test_sweep_cell_inside_the_gate_band_left_empty(tmp_path, capsys):
+    # the last cell has slack about 4.9e-15: positive, but not above the
+    # interior gate 1e-14, so it is left empty and the sweep completes
+    cfg = _write_config(
+        tmp_path,
+        {"p": [1, 1], "k": 2,
+         "sweep": {"axes": [1, 2], "values": [[0.1, 0.6], [0.1, math.sqrt(0.64 - 5e-15)]]}},
+    )
+    code, out, _ = _run(capsys, ["sweep", "--config", cfg])
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert len(rows) == 5
+    assert all(row[2] != "" for row in rows[1:4])
+    assert rows[4][2:] == ["", "", ""]
+
+
 def test_sweep_axis_validation(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,
@@ -236,6 +253,26 @@ def test_verify_bad_budget(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # certify
+
+
+@pytest.mark.parametrize(
+    "command, payload, field",
+    [
+        ("gap", {"p": [1.0, 0.3], "k": 1, "samples": 1}, "samples"),
+        ("gap", {"p": [1.0, 0.3], "k": 1, "trials": "many"}, "trials"),
+        ("gap", {"p": [1.0, 0.3], "k": 1, "trials": 0}, "trials"),
+        ("gap", {"p": [1.0, 0.3], "k": 1, "families_budget": 2.5}, "families_budget"),
+        ("gap", {"p": [1.0, 0.3], "k": 1, "seed": -1}, "seed"),
+        ("certify", {"p": [1.0, 1.0], "k": 1, "points": [[0.3, 0.5]], "seed": "x"}, "seed"),
+        ("verify", {"suite": "ball", "seed": "x"}, "seed"),
+        ("verify", {"suite": "ball", "points": True}, "points"),
+    ],
+)
+def test_integer_config_fields_validated(tmp_path, capsys, command, payload, field):
+    cfg = _write_config(tmp_path, payload)
+    code, _, err = _run(capsys, [command, "--config", cfg])
+    assert code == 2
+    assert f"'{field}'" in err
 
 
 def test_certify_both_kinds(tmp_path, capsys):

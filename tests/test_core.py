@@ -1,6 +1,7 @@
 """Frozen-value and property tests for the closed-form evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,6 @@ from ellgreen.core import (
     evaluate_batch,
     membership,
     polydisc_value,
-    region_label,
-    select_d,
-    sort_first_k,
     weighted_am_gm,
 )
 from ellgreen.errors import DomainError, InputError
@@ -66,16 +64,15 @@ def test_sort_reorders_by_key_not_modulus():
     # p=(2,1), z=(0.6, 0.3): keys 2*0.6^4 = 0.2592 and 1*0.09, so the
     # smaller-modulus coordinate sorts first despite the larger exponent
     ell = Ellipsoid(p=(2.0, 1.0), k=2)
-    perm, zs, ps = sort_first_k(ell, (0.6, 0.3))
-    assert perm == (1, 0)
-    assert zs == (0.3 + 0j, 0.6 + 0j)
-    assert ps == (1.0, 2.0)
+    assert evaluate(ell, (0.6, 0.3)).perm == (1, 0)
+    # coordinates past k keep their place after the sorted pole block
+    ell3 = Ellipsoid(p=(2.0, 1.0, 1.0), k=2)
+    assert evaluate(ell3, (0.6, 0.3, 0.1)).perm == (1, 0, 2)
 
 
 def test_sort_is_stable_on_ties():
     ell = Ellipsoid(p=(1.0, 1.0, 1.0), k=3)
-    perm, _, _ = sort_first_k(ell, (0.4, 0.4, 0.4))
-    assert perm == (0, 1, 2)
+    assert evaluate(ell, (0.4, 0.4, 0.4)).perm == (0, 1, 2)
 
 
 def test_zero_pole_coordinate_gives_zero_value():
@@ -83,11 +80,6 @@ def test_zero_pole_coordinate_gives_zero_value():
     res = evaluate(ell, (0.0, 0.5))
     assert res.value == 0.0
     assert res.d == 1
-
-
-def test_region_label_matches_evaluate():
-    ell = Ellipsoid(p=(1.0, 1.0), k=2)
-    assert region_label(ell, (0.1, 0.72)) == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +113,6 @@ def test_wrong_arity_rejected():
         evaluate(ell, (0.5,))
     with pytest.raises(InputError):
         ball_value((0.5, 0.5), 3)
-
-
-def test_select_d_requires_sorted_keys():
-    ell = Ellipsoid(p=(2.0, 1.0), k=2)
-    with pytest.raises(InputError):
-        select_d(ell, (0.6, 0.3))
 
 
 def test_batch_shape_validation():
@@ -168,6 +154,22 @@ def test_batch_flags_rows_outside():
     batch = evaluate_batch(ell, np.array([[0.3, 0.4], [0.9, 0.9]]))
     assert batch.inside.tolist() == [True, False]
     assert np.isnan(batch.value[1]) and batch.d[1] == 0
+
+
+def test_batch_outside_rows_warn_nothing():
+    # r_1 = 1 - 1.44 < 0 makes log(c_1) invalid on this row; it is masked
+    ell = Ellipsoid(p=(1.0, 1.0), k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = evaluate_batch(ell, np.array([[0.1, 1.2], [0.0, 0.5]]))
+    assert not batch.inside[0] and np.isnan(batch.value[0])
+    assert batch.value[1] == 0.0
+
+
+def test_negative_interior_tol_rejected():
+    ell = Ellipsoid(p=(1.0, 1.0), k=1)
+    with pytest.raises(InputError):
+        evaluate_batch(ell, np.array([[0.9, 0.9]]), interior_tol=-1.0)
 
 
 def test_ball_batch_matches_scalar():

@@ -125,6 +125,12 @@ def test_exclusion_random_candidates_pass_and_collect():
     assert rep.check == "exclusion-p0.6-q0.5"
 
 
+def test_exclusion_needs_two_samples():
+    w = ObstructionWindow.find(0.6, 0.5)
+    with pytest.raises(InputError):
+        exclusion_demo(0.6, 0.5, w, trials=1, samples=1, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # shifted pole
 

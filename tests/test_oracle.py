@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ellgreen.certificates import green_certificate
 from ellgreen.core import Ellipsoid, evaluate_batch
 from ellgreen.errors import InputError, InvariantViolation
 from ellgreen.oracle import (
@@ -26,9 +27,9 @@ from ellgreen.oracle import (
     sample_cube_rejection_moduli,
     sample_interior,
     sample_interior_moduli,
-    sample_sup_moduli,
     transition_segments,
 )
+from ellgreen.verify import VerifyConfig, _sup_rows
 
 
 def test_oracle_imports_only_core_and_errors():
@@ -93,8 +94,9 @@ def test_cube_rejection_collapses_for_tiny_exponents():
 
 def test_sup_sampler_brushes_boundary():
     rng = np.random.default_rng(10)
-    two_p = np.array([2.0, 1.4])
-    rows = sample_sup_moduli(two_p, 512, rng)
+    cert = green_certificate(Ellipsoid(p=(1.0, 0.7), k=1), (0.3, 0.4))
+    rows = _sup_rows(cert, VerifyConfig(sup_samples=512), rng)
+    two_p = 2.0 * np.asarray(cert.p_sorted)
     mass = (rows ** two_p[None, :]).sum(axis=1)
     assert float(mass.max()) < 1.0
     assert float(mass.max()) > 1.0 - 1e-3  # pushed rows get close
@@ -235,6 +237,13 @@ def test_polydisc_ladder_skips_tight_rungs():
     ladder = polydisc_ladder((0.99, 0.5), 1)
     assert ladder[0][0] > 1.0
     assert ladder[-1][0] == 256.0
+
+
+def test_polydisc_ladder_skips_rung_inside_the_gate_band():
+    # on the P=1 ball the slack is about 5e-15: positive, yet not above the
+    # interior gate, so that rung is skipped rather than raising
+    ladder = polydisc_ladder((0.6, math.sqrt(0.64 - 5e-15)), 2)
+    assert [P for P, _ in ladder] == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
 
 
 def test_polydisc_reports_empty_ladder_rejected():
