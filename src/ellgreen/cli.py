@@ -75,7 +75,11 @@ def _int_field(cfg: dict, name: str, default: int, minimum: int) -> int:
 
 
 def _seed(cfg: dict, args: argparse.Namespace) -> int:
-    return args.seed if args.seed is not None else _int_field(cfg, "seed", 0, 0)
+    if args.seed is None:
+        return _int_field(cfg, "seed", 0, 0)
+    if args.seed < 0:
+        raise InputError("--seed: must be an integer >= 0")
+    return args.seed
 
 
 def _parse_complex(entry: Any, where: str) -> complex:
@@ -110,7 +114,10 @@ def _parse_points(cfg: dict, n: int) -> list[tuple[complex, ...]]:
 def _open_out(args: argparse.Namespace):
     if args.out is None:
         return sys.stdout, False
-    return open(args.out, "w"), True
+    try:
+        return open(args.out, "w"), True
+    except OSError as exc:
+        raise InputError(f"--out {args.out}: {exc.strerror}") from exc
 
 
 def _emit(stream: TextIO, obj: dict) -> None:
@@ -247,7 +254,12 @@ def _cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
     try:
         for rep in reports:
             payload = rep.to_payload()
-            payload.pop("details", None)  # keep report lines compact
+            # keep report lines compact: drop the failure records, keep
+            # counters such as the maximizer's evals/sweeps/converged
+            details = payload.pop("details", {})
+            details.pop("failures", None)
+            if details:
+                payload["details"] = details
             _emit(stream, payload)
             failed += 0 if rep.passed else 1
         _emit(
@@ -312,7 +324,10 @@ def _gap_outputs(out: str | None):
     if out is None:
         return None
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"--out {out}: {exc.strerror} (gap writes a directory)") from exc
     return path
 
 
@@ -338,17 +353,17 @@ def _cmd_gap(cfg: dict, args: argparse.Namespace) -> int:
         moduli[j_small] = 0.1
         z = tuple(complex(m) for m in moduli)
     res = evaluate(ell, z)
-    window = ObstructionWindow.find(p=2.0 * ell.p[j_small], q=res.q_d)
     seed = _seed(cfg, args)
+    trials = _int_field(cfg, "trials", 200, 1)
+    samples = _int_field(cfg, "samples", 10_000, 2)
+    budget = _int_field(cfg, "families_budget", 20_000, 1)
+    out_dir = _gap_outputs(args.out)  # before the search: a bad --out fails fast
+    window = ObstructionWindow.find(p=2.0 * ell.p[j_small], q=res.q_d)
     report = exclusion_demo(
-        window.p, window.q, window, trials=_int_field(cfg, "trials", 200, 1),
-        samples=_int_field(cfg, "samples", 10_000, 2), seed=seed, collect=3,
+        window.p, window.q, window, trials=trials, samples=samples, seed=seed, collect=3,
     )
-    search = candidate_family_search(
-        ell, z, budget=_int_field(cfg, "families_budget", 20_000, 1), seed=seed
-    )
+    search = candidate_family_search(ell, z, budget=budget, seed=seed)
 
-    out_dir = _gap_outputs(args.out)
     profiles = report.details.pop("profiles", None)
     if out_dir is None:
         _emit(sys.stdout, {"window": window.to_payload()})

@@ -328,8 +328,8 @@ def shifted_pole_certificate(
                 family="shifted-pole", alpha=(), feasible=True,
                 degenerate=(), phases=(0.0,), pole=pole,
             )
-            xhat, _ = maximize_profile(cert.log_profile, [(0.0, 1.0)])
-            if abs(float(xhat[0]) - t0) <= 1e-4:
+            peak = maximize_profile(cert.log_profile, [(0.0, 1.0)])
+            if abs(float(peak.x[0]) - t0) <= 1e-4:
                 return cert
         bb *= 2.0
     raise InvariantViolation(

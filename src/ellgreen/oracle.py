@@ -19,6 +19,12 @@ from .core import Ellipsoid, evaluate, evaluate_batch, polydisc_value
 from .errors import DomainError, InputError, InvariantViolation
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# samples per bracket and stage in bracket_max; odd, so each stage keeps the
+# previous best on its grid, and each stage cuts a bracket 16-fold
+_STAGE_POINTS = 33
+# fractions of the way from the lower corner to the box midpoint, tried when
+# no coarse grid point is inside the domain
+_FALLBACK_RAY = np.logspace(0.0, -30.0, 61)
 
 
 @dataclass
@@ -51,7 +57,15 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Budget knobs for the coarse-grid plus golden-section maximizer."""
+    """Knobs for maximize_profile: points per axis of the coarse grid
+    (fewer if the grid would exceed max_evals points), how many of its
+    best points start a search, and the coordinate sweeps of batched
+    bracket searches (bracket_max) run from each start.
+
+    A start stops when a sweep moves it by less than step_tol (the bracket
+    width each search runs down to); refine_sweeps is only a cap on the
+    sweeps, and a run that hits it reports converged=False.
+    """
 
     grid: int = 16
     refine_sweeps: int = 8
@@ -179,91 +193,165 @@ def golden_max(
     return x, f(x)
 
 
+def bracket_max(
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    *,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize independent 1-D functions, one per bracket [lo_b, hi_b], at once.
+
+    f maps a (b, m) array of abscissae (row i samples bracket i) to (b, m)
+    values.  Each stage samples every bracket at _STAGE_POINTS evenly spaced
+    points in one call to f and shrinks each bracket to the two grid cells
+    around its best sample, a 16-fold cut; the grid has a center point, so
+    the best sample of a stage is sampled again in the next and the best
+    value never drops.  Stops once every shrunk bracket is narrower than
+    tol: for a unimodal function the returned argmax is then within tol
+    of the true one.  Returns (argmax, max value), one entry per bracket.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    rows = np.arange(lo.shape[0])
+    frac = np.linspace(0.0, 1.0, _STAGE_POINTS)
+    last = _STAGE_POINTS - 1
+    while True:
+        t = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
+        vals = f(t)
+        best = np.argmax(vals, axis=1)
+        lo = t[rows, np.maximum(best - 1, 0)]
+        hi = t[rows, np.minimum(best + 1, last)]
+        if (hi - lo).max(initial=0.0) < tol:
+            return t[rows, best], vals[rows, best]
+
+
+@dataclass(frozen=True)
+class ProfileMax:
+    """What maximize_profile found and what it spent.
+
+    evals counts objective rows (coarse grid included); sweeps counts the
+    coordinate sweeps of the longest-running start; converged is False if
+    some start was still moving by step_tol or more when the refine_sweeps
+    cap ended it.
+    """
+
+    x: np.ndarray
+    value: float
+    evals: int
+    sweeps: int
+    converged: bool
+
+
 def maximize_profile(
     objective: Callable[[np.ndarray], np.ndarray],
     bounds: Sequence[tuple[float, float]],
     cfg: OptimizerConfig = OptimizerConfig(),
-) -> tuple[np.ndarray, float]:
-    """Coarse grid plus per-coordinate golden refinement from the top starts.
+) -> ProfileMax:
+    """Coarse grid, then coordinate sweeps of batched bracket searches from
+    the top starts.
 
     objective maps an (m, dims) array to (m,) values; -inf marks points
-    outside the domain.  Returns (argmax, value).  NaN from the objective
-    is a bug in the quantity under test and raises with the offending
-    point as witness.
+    outside the domain.  NaN from the objective is a bug in the quantity
+    under test and raises with the offending point as witness.
+
+    All starts run in lockstep.  For each coordinate, every start's local
+    bracket (one grid cell either side), full-range bracket and log-scale
+    bracket go through bracket_max together, so each stage is one
+    objective call.  A start stops when a whole sweep moves it by less
+    than step_tol; refine_sweeps only caps the sweeps, and the result says
+    whether the cap was reached.  With one coordinate a single sweep is
+    final: a second would repeat the same full-range searches.
     """
+    evals = 0
+
+    def checked(rows: np.ndarray) -> np.ndarray:
+        nonlocal evals
+        vals = np.asarray(objective(rows), dtype=float)
+        evals += rows.shape[0]
+        nan = np.isnan(vals)
+        if nan.any():
+            bad = rows[int(np.argmax(nan))]
+            raise InvariantViolation(f"objective returned NaN at {bad.tolist()}")
+        return vals
+
     dims = len(bounds)
     if dims == 0:
-        val = float(objective(np.zeros((1, 0)))[0])
-        return np.zeros(0), val
+        val = float(checked(np.zeros((1, 0)))[0])
+        return ProfileMax(np.zeros(0), val, evals, 0, True)
     res = max(2, min(cfg.grid, int(cfg.max_evals ** (1.0 / dims))))
     axes = [np.linspace(lo, hi, res) for lo, hi in bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = np.asarray(objective(grid), dtype=float)
-    if np.isnan(vals).any():
-        bad = grid[int(np.argmax(np.isnan(vals)))]
-        raise InvariantViolation(f"objective returned NaN at {bad.tolist()}")
-    order = np.argsort(vals)[::-1]
-    starts = [grid[i].copy() for i in order[: cfg.starts] if np.isfinite(vals[i])]
-    if not starts:
-        # whole grid outside the domain; fall back to the box midpoint
-        starts = [np.array([(lo + hi) / 2.0 for lo, hi in bounds])]
+    vals = checked(grid)
+    order = np.argsort(vals)[::-1][: cfg.starts]
+    order = order[np.isfinite(vals[order])]
+    if order.size:
+        xs, fxs = grid[order].copy(), vals[order].copy()
+    else:
+        # whole grid outside the domain, as when the feasible set hugs the
+        # lower corner between grid points: start from the best point of a
+        # log-spaced ray from the box midpoint down toward the lower corner
+        lo_c = np.array([lo for lo, _ in bounds])
+        mid = np.array([(lo + hi) / 2.0 for lo, hi in bounds])
+        ray = lo_c + _FALLBACK_RAY[:, None] * (mid - lo_c)[None, :]
+        ray_vals = checked(ray)
+        i = int(np.argmax(ray_vals))
+        xs, fxs = ray[i:i + 1].copy(), ray_vals[i:i + 1].copy()
 
-    def scalar(x: np.ndarray) -> float:
-        v = float(objective(x[None, :])[0])
-        if math.isnan(v):
-            raise InvariantViolation(f"objective returned NaN at {x.tolist()}")
-        return v
+    active = np.ones(xs.shape[0], dtype=bool)
+    sweeps = 0
+    while active.any() and sweeps < cfg.refine_sweeps:
+        sweeps += 1
+        idx = np.flatnonzero(active)
+        moved = np.zeros(idx.size)
+        for j in range(dims):
+            lo, hi = bounds[j]
+            span = (hi - lo) / max(res - 1, 1)
+            xj = xs[idx, j]
+            # local brackets respect a multimodal landscape; the full-range
+            # pass rescues nearly flat axes where the grid argmax is noise
+            kinds = [
+                (np.maximum(lo, xj - span), np.minimum(hi, xj + span)),
+                (np.full(idx.size, lo), np.full(idx.size, hi)),
+            ]
+            if hi > 0.0:
+                # a linear-scale search cannot resolve an argmax many decades
+                # below its tolerance, and even a tiny absolute miss there can
+                # shift a shared budget term by far more; a log-domain
+                # bracket gives relative precision
+                kinds.append((
+                    np.full(idx.size, math.log(max(lo, 1e-300))),
+                    np.full(idx.size, math.log(hi)),
+                ))
+            log_scale = np.repeat(np.arange(len(kinds)) == 2, idx.size)
+            base = np.tile(xs[idx], (len(kinds), 1))
 
-    best_x, best_v = starts[0].copy(), scalar(starts[0])
-    for start in starts:
-        x = start.copy()
-        fx = scalar(x)
-        for _ in range(cfg.refine_sweeps):
-            moved = 0.0
-            for j in range(dims):
-                lo, hi = bounds[j]
-                span = (hi - lo) / max(res - 1, 1)
+            def line(t: np.ndarray) -> np.ndarray:
+                x = np.where(log_scale[:, None], np.minimum(np.exp(t), hi), t)
+                rows = np.repeat(base, t.shape[1], axis=0)
+                rows[:, j] = x.ravel()
+                return checked(rows).reshape(t.shape)
 
-                def line(t: float, j=j, x=x) -> float:
-                    y = x.copy()
-                    y[j] = t
-                    return scalar(y)
-
-                # local bracket respects a multimodal landscape; the full-range
-                # pass rescues nearly flat axes where the grid argmax is noise
-                for a, b in (
-                    (max(lo, x[j] - span), min(hi, x[j] + span)),
-                    (lo, hi),
-                ):
-                    xj, fj = golden_max(line, a, b, tol=cfg.step_tol)
-                    if fj > fx:
-                        moved = max(moved, abs(xj - x[j]))
-                        x[j] = xj
-                        fx = fj
-                if hi > 0.0:
-                    # linear-scale golden cannot resolve an argmax that sits
-                    # many decades below its tolerance, and even a tiny
-                    # absolute miss there can shift a shared budget term by
-                    # far more; a log-domain pass gives relative precision
-                    s_lo = math.log(max(lo, 1e-300))
-                    s_hi = math.log(hi)
-                    sj, fj = golden_max(
-                        lambda s: line(min(math.exp(s), hi)),
-                        s_lo,
-                        s_hi,
-                        tol=cfg.step_tol,
-                    )
-                    if fj > fx:
-                        xj = min(math.exp(sj), hi)
-                        moved = max(moved, abs(xj - x[j]))
-                        x[j] = xj
-                        fx = fj
-            if moved < cfg.step_tol:
-                break
-        if fx > best_v:
-            best_x, best_v = x.copy(), fx
-    return best_x, best_v
+            t_best, f_best = bracket_max(
+                line,
+                np.concatenate([a for a, _ in kinds]),
+                np.concatenate([b for _, b in kinds]),
+                tol=cfg.step_tol,
+            )
+            t_best = np.where(log_scale, np.minimum(np.exp(t_best), hi), t_best)
+            t_best = t_best.reshape(len(kinds), idx.size)
+            f_best = f_best.reshape(len(kinds), idx.size)
+            pick = np.argmax(f_best, axis=0)
+            cand = t_best[pick, np.arange(idx.size)]
+            f_cand = f_best[pick, np.arange(idx.size)]
+            better = f_cand > fxs[idx]
+            moved = np.maximum(moved, np.where(better, np.abs(cand - xj), 0.0))
+            xs[idx[better], j] = cand[better]
+            fxs[idx[better]] = f_cand[better]
+        active[idx] = (moved >= cfg.step_tol) & (dims > 1)
+    best = int(np.argmax(fxs))
+    return ProfileMax(xs[best].copy(), float(fxs[best]), evals, sweeps, not active.any())
 
 
 def fd_gradient(

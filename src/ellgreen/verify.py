@@ -69,7 +69,7 @@ class VerifyConfig:
     sup_slacks: tuple[float, ...] = (1e-2, 1e-4)
     optimizer: OptimizerConfig = field(
         default_factory=lambda: OptimizerConfig(
-            grid=12, refine_sweeps=10, starts=3, step_tol=1e-9, max_evals=40_000
+            grid=12, refine_sweeps=200, starts=3, step_tol=1e-9, max_evals=40_000
         )
     )
 
@@ -113,24 +113,48 @@ def _sorted_frame_domain(cert: _CertificateBase) -> Ellipsoid:
     return Ellipsoid(p=cert.p_sorted, k=cert.ell.k)
 
 
+def _push_to_mass(rows: np.ndarray, two_p: np.ndarray, mass: float,
+                  *, tol: float = 1e-13, max_iter: int = 100) -> np.ndarray:
+    """Scale each row by e^s so that sum_j (e^s t_j)^(2 p_j) equals mass.
+
+    Newton on s for log-mass: log sum_j exp(2 p_j (log t_j + s)) is convex
+    and increasing in s, so after at most one overshoot the iterates fall
+    monotonically onto the root; it stops once every row's step is below
+    tol.  All-zero rows cannot be scaled and come back unchanged.
+    """
+    with np.errstate(divide="ignore"):
+        log_terms = two_p[None, :] * np.log(rows)
+    ok = np.isfinite(log_terms).any(axis=1)
+    # coordinates along axis 0: numpy reduces over a short trailing axis slowly
+    log_terms = np.ascontiguousarray(log_terms[ok].T)
+    s = np.zeros(log_terms.shape[1])
+    target = math.log(mass)
+    for _ in range(max_iter):
+        e = log_terms + two_p[:, None] * s[None, :]
+        top = e.max(axis=0)
+        w = np.exp(e - top[None, :])
+        total = w.sum(axis=0)
+        step = (target - top - np.log(total)) / ((two_p @ w) / total)
+        s += step
+        if np.abs(step).max(initial=0.0) < tol:
+            break
+    out = rows.copy()
+    out[ok] *= np.exp(s)[:, None]
+    return out
+
+
 def _sup_rows(cert: _CertificateBase, cfg: VerifyConfig, rng: np.random.Generator) -> np.ndarray:
-    """Sorted-frame moduli rows across the domain, thickened near the boundary."""
+    """Sorted-frame moduli rows across the domain, thickened near the boundary:
+    for each of cfg.sup_slacks, a quarter as many bulk rows again, each
+    scaled onto the level set where the boundary mass is 1 - slack."""
     ell_s = _sorted_frame_domain(cert)
     bulk = sample_interior_moduli(ell_s, cfg.sup_samples, rng)
     two_p = 2.0 * np.asarray(ell_s.p)
-    pushed = []
     take = max(cfg.sup_samples // 4, 8)
-    for slack in cfg.sup_slacks:
-        rows = bulk[rng.integers(0, bulk.shape[0], size=take)].copy()
-        mass = (rows ** two_p[None, :]).sum(axis=1)
-        ok = mass > 1e-12
-        factor = np.ones_like(mass)
-        # one Newton-free rescale loop is enough: mass is monotone in the factor
-        for _ in range(50):
-            cur = ((rows * factor[:, None]) ** two_p[None, :]).sum(axis=1)
-            adj = np.where(ok & (cur > 0.0), ((1.0 - slack) / np.maximum(cur, 1e-300)) ** 0.25, 1.0)
-            factor *= adj
-        pushed.append(rows * factor[:, None])
+    pushed = [
+        _push_to_mass(bulk[rng.integers(0, bulk.shape[0], size=take)], two_p, 1.0 - slack)
+        for slack in cfg.sup_slacks
+    ]
     rows = np.vstack([bulk] + pushed)
     mass = (rows ** two_p[None, :]).sum(axis=1)
     return rows[mass < 1.0]
@@ -188,12 +212,14 @@ def verify_bundle(
     )
 
     bounds = [(0.0, 1.0)] * dims
-    xhat, log_peak = maximize_profile(cert.log_profile, bounds, cfg.optimizer)
+    peak = maximize_profile(cert.log_profile, bounds, cfg.optimizer)
+    xhat, log_peak = peak.x, peak.value
     loc_err = float(np.abs(xhat - t0).max()) if dims else 0.0
     reports.append(
         VerificationReport(
             check="argmax-location", passed=loc_err <= cfg.argmax_tol, measured=loc_err,
             tolerance=cfg.argmax_tol, witness=xhat.tolist(), seed=seed,
+            details={"evals": peak.evals, "sweeps": peak.sweeps, "converged": peak.converged},
         )
     )
 
@@ -425,6 +451,54 @@ def suite_polydisc(
     ]
 
 
+class _BundleTally:
+    """Worst measured number per bundle check across a suite, the first
+    failures, and the maximizer's spend summed over the argmax searches."""
+
+    def __init__(self) -> None:
+        self.worst: dict[str, float] = {c: -math.inf for c in _BUNDLE_CHECKS}
+        self.failures: list[dict] = []
+        self.evals = 0
+        self.sweeps = 0
+        self.not_converged = 0
+        self.bundles = 0
+
+    def add(self, reports: list[VerificationReport], failure_info: dict) -> None:
+        self.bundles += 1
+        for rep in reports:
+            self.worst[rep.check] = max(self.worst[rep.check], rep.measured)
+            if not rep.passed and len(self.failures) < 10:
+                self.failures.append({"check": rep.check, "measured": rep.measured, **failure_info})
+            if rep.check == "argmax-location":
+                self.evals += rep.details["evals"]
+                self.sweeps = max(self.sweeps, rep.details["sweeps"])
+                self.not_converged += not rep.details["converged"]
+
+    def reports(self, prefix: str, cfg: VerifyConfig, seed: int) -> list[VerificationReport]:
+        """One report per bundle check.  The argmax-location report's details
+        give the maximizer's total evaluations, its most sweeps in one
+        bundle, and whether every search converged."""
+        tols = {
+            "stationarity": cfg.grad_tol,
+            "argmax-location": cfg.argmax_tol,
+            "argmax-value": cfg.value_rel_tol,
+            "bounded": cfg.bound_tol,
+            "base-value": cfg.base_rel_tol,
+        }
+        out = []
+        for c in _BUNDLE_CHECKS:
+            details = {"failures": [f for f in self.failures if f["check"] == c]}
+            if c == "argmax-location":
+                details.update(evals=self.evals, sweeps=self.sweeps,
+                               converged=self.not_converged == 0)
+            out.append(VerificationReport(
+                check=f"{prefix}-{c}", passed=self.worst[c] <= tols[c],
+                measured=self.worst[c], tolerance=tols[c], samples=self.bundles,
+                seed=seed, details=details,
+            ))
+        return out
+
+
 def _suite_bundles(
     which: str,
     *,
@@ -435,39 +509,18 @@ def _suite_bundles(
     n_max: int = 5,
 ) -> list[VerificationReport]:
     rng = np.random.default_rng(seed)
-    worst: dict[str, float] = {c: -math.inf for c in _BUNDLE_CHECKS}
-    failures: list[dict] = []
+    tally = _BundleTally()
     alpha_floor = 0.0
-    for i in range(bundles):
+    for _ in range(bundles):
         ell = _random_domain(rng, n_max=n_max, p_range=p_range)
         z = _draw_cert_point(ell, rng)
         cert, reports = verify_certificate(
             ell, z, which, cfg, seed=int(rng.integers(0, 2**31))
         )
         alpha_floor = min(alpha_floor, min(cert.alpha, default=0.0))
-        for rep in reports:
-            worst[rep.check] = max(worst[rep.check], rep.measured)
-            if not rep.passed and len(failures) < 10:
-                failures.append(
-                    {"check": rep.check, "measured": rep.measured,
-                     "p": list(ell.p), "k": ell.k,
-                     "z": [[c.real, c.imag] for c in cert.z]}
-                )
-    cfg_tols = {
-        "stationarity": cfg.grad_tol,
-        "argmax-location": cfg.argmax_tol,
-        "argmax-value": cfg.value_rel_tol,
-        "bounded": cfg.bound_tol,
-        "base-value": cfg.base_rel_tol,
-    }
-    out = [
-        VerificationReport(
-            check=f"{which}-{c}", passed=worst[c] <= cfg_tols[c], measured=worst[c],
-            tolerance=cfg_tols[c], samples=bundles, seed=seed,
-            details={"failures": [f for f in failures if f["check"] == c]},
-        )
-        for c in _BUNDLE_CHECKS
-    ]
+        tally.add(reports, {"p": list(ell.p), "k": ell.k,
+                            "z": [[c.real, c.imag] for c in cert.z]})
+    out = tally.reports(which, cfg, seed)
     out.append(
         VerificationReport(
             check=f"{which}-alpha-nonnegative", passed=alpha_floor >= 0.0,
@@ -500,7 +553,7 @@ def suite_shifted_pole(
     from .gap import shifted_pole_certificate  # late import keeps gap optional here
 
     rng = np.random.default_rng(seed)
-    worst: dict[str, float] = {c: -math.inf for c in _BUNDLE_CHECKS}
+    tally = _BundleTally()
     min_r = math.inf
     made = 0
     attempts = 0
@@ -521,23 +574,10 @@ def suite_shifted_pole(
         cert = shifted_pole_certificate(p1, p2, t0)
         assert cert.pole is not None
         min_r = min(min_r, cert.pole.r)
-        for rep in verify_bundle(cert, cfg, seed=int(rng.integers(0, 2**31))):
-            worst[rep.check] = max(worst[rep.check], rep.measured)
+        tally.add(verify_bundle(cert, cfg, seed=int(rng.integers(0, 2**31))),
+                  {"p": [p1, p2], "t0": t0})
         made += 1
-    cfg_tols = {
-        "stationarity": cfg.grad_tol,
-        "argmax-location": cfg.argmax_tol,
-        "argmax-value": cfg.value_rel_tol,
-        "bounded": cfg.bound_tol,
-        "base-value": cfg.base_rel_tol,
-    }
-    out = [
-        VerificationReport(
-            check=f"shifted-pole-{c}", passed=worst[c] <= cfg_tols[c],
-            measured=worst[c], tolerance=cfg_tols[c], samples=made, seed=seed,
-        )
-        for c in _BUNDLE_CHECKS
-    ]
+    out = tally.reports("shifted-pole", cfg, seed)
     out.append(
         VerificationReport(
             check="shifted-pole-r-above-one", passed=min_r >= 1.0,

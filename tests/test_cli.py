@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -353,3 +357,32 @@ def test_gap_out_directory(tmp_path, capsys):
     summary = json.loads(out.splitlines()[-1])["summary"]
     assert summary["exclusion_pass"] is True
     assert summary["family_gap"] > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# bad command-line input: exit 2 with one stderr line, never a traceback
+
+
+@pytest.mark.parametrize(
+    "command, payload, extra",
+    [
+        ("verify", {"suite": "soundness", "trials": 5}, ["--seed", "-1"]),
+        ("eval", {"p": [1.0, 1.0], "k": 1, "points": [[0.3, 0.5]]},
+         ["--out", "{tmp}/missing/x.jsonl"]),
+        ("gap", {"p": [1.0, 0.3], "k": 1}, ["--out", "{tmp}/config.json"]),
+    ],
+    ids=["negative-seed", "out-in-missing-dir", "gap-out-is-a-file"],
+)
+def test_bad_command_line_exits_2(tmp_path, command, payload, extra):
+    cfg = _write_config(tmp_path, payload)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in extra]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellgreen.cli", command, "--config", cfg, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

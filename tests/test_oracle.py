@@ -18,6 +18,7 @@ from ellgreen.errors import InputError, InvariantViolation
 from ellgreen.oracle import (
     OptimizerConfig,
     VerificationReport,
+    bracket_max,
     continuity_scan,
     fd_gradient,
     golden_max,
@@ -118,9 +119,11 @@ def test_maximize_profile_separable():
     def objective(rows: np.ndarray) -> np.ndarray:
         return -((rows - target[None, :]) ** 2).sum(axis=1)
 
-    x, v = maximize_profile(objective, [(0.0, 1.0)] * 3)
-    assert np.abs(x - target).max() < 1e-6
-    assert v == pytest.approx(0.0, abs=1e-12)
+    peak = maximize_profile(objective, [(0.0, 1.0)] * 3)
+    assert np.abs(peak.x - target).max() < 1e-6
+    assert peak.value == pytest.approx(0.0, abs=1e-12)
+    assert peak.converged
+    assert peak.evals > 0 and peak.sweeps >= 1
 
 
 def test_maximize_profile_resolves_tiny_argmax():
@@ -135,8 +138,68 @@ def test_maximize_profile_resolves_tiny_argmax():
         return 2e-4 * lt - t ** 0.27 / (1.58e-11) ** 0.27 * 2e-4 / 0.27
     # stationarity: d/dlog t = 2e-4 - (2e-4/0.27)*0.27*(t/t*)^0.27 = 0 at t*
 
-    x, _ = maximize_profile(objective, [(0.0, 1.0)])
+    x = maximize_profile(objective, [(0.0, 1.0)]).x
     assert abs(math.log(x[0] / t_star)) < 1e-3
+
+
+def _coupled(rows: np.ndarray) -> np.ndarray:
+    # a narrow ridge along x = y, peak at (0.617, 0.617) off the coarse
+    # grid: coordinate sweeps zig-zag up it slowly
+    x, y = rows[:, 0], rows[:, 1]
+    return -((x - y) ** 2) * 30.0 - (x + y - 1.234) ** 2
+
+
+def test_maximize_profile_reports_sweep_cap():
+    capped = maximize_profile(_coupled, [(0.0, 1.0)] * 2, OptimizerConfig(refine_sweeps=1))
+    assert capped.sweeps == 1
+    assert capped.converged is False
+    full = maximize_profile(_coupled, [(0.0, 1.0)] * 2, OptimizerConfig(refine_sweeps=10_000))
+    assert full.converged is True
+    assert 1 < full.sweeps < 10_000
+    assert np.abs(full.x - 0.617).max() < 1e-5
+    assert full.evals > capped.evals
+
+
+def test_maximize_profile_whole_grid_outside():
+    # every grid point, box corners included, is outside; the search starts
+    # from the box midpoint and still finds the feasible sliver around it
+    def sliver(rows: np.ndarray) -> np.ndarray:
+        x = rows[:, 0]
+        inside = np.abs(x - 0.5) < 0.01
+        return np.where(inside, -((x - 0.505) ** 2), -np.inf)
+
+    peak = maximize_profile(sliver, [(0.0, 1.0)], OptimizerConfig(grid=4))
+    assert abs(peak.x[0] - 0.505) < 1e-6
+    assert peak.converged
+
+    # a feasible set hugging the lower corner, as for a profile with small
+    # exponents: the grid's zeros give log 0 and its other points lie
+    # outside, and so does the midpoint; the fallback ray toward the corner
+    # finds a start from which the sweeps reach the peak at (1e-3, 1e-3)
+    def corner(rows: np.ndarray) -> np.ndarray:
+        inside = (rows ** 0.25).sum(axis=1) < 0.5
+        with np.errstate(divide="ignore"):
+            val = np.log(rows).sum(axis=1) - 1e3 * rows.sum(axis=1)
+        return np.where(inside, val, -np.inf)
+
+    peak = maximize_profile(corner, [(0.0, 1.0)] * 2, OptimizerConfig(grid=16))
+    assert np.abs(peak.x - 1e-3).max() < 1e-6
+    assert peak.converged
+
+
+def test_bracket_max_runs_brackets_independently():
+    centers = np.array([0.1, 0.5, 0.93])
+    calls = []
+
+    def f(t: np.ndarray) -> np.ndarray:
+        calls.append(t.shape)
+        return -((t - centers[:, None]) ** 2)
+
+    x, fx = bracket_max(f, np.zeros(3), np.ones(3), tol=1e-10)
+    assert np.abs(x - centers).max() < 1e-10
+    assert np.all(fx <= 0.0)
+    assert all(shape == (3, calls[0][1]) for shape in calls)
+    assert len(calls) <= 10
 
 
 def test_maximize_profile_rejects_nan():
