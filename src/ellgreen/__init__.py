@@ -50,9 +50,7 @@ from .gap import (
 )
 from .oracle import (
     OptimizerConfig,
-    ProfileMax,
     VerificationReport,
-    bracket_max,
     continuity_scan,
     fd_gradient,
     golden_max,
@@ -91,8 +89,7 @@ __all__ = [
     "exclusion_demo", "find_chord_point", "pole_slope_diagnostics",
     "pole_slope_quadratic", "random_polynomials", "shifted_pole_certificate",
     "stationary_pole",
-    "OptimizerConfig", "ProfileMax", "VerificationReport", "bracket_max",
-    "continuity_scan", "fd_gradient",
+    "OptimizerConfig", "VerificationReport", "continuity_scan", "fd_gradient",
     "golden_max", "maximize_profile", "polydisc_ladder",
     "polydisc_limit_reports", "sample_interior", "sample_interior_moduli",
     "transition_segments",

@@ -217,6 +217,10 @@ def _cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
     return 0
 
 
+# detail keys a verify report line keeps (the argmax-location counters);
+# failure records and any other details stay out of the line
+_VERIFY_DETAIL_KEYS = ("evals", "sweeps", "converged")
+
 _SUITE_KNOBS = {
     "ball": ("points", 1000),
     "soundness": ("trials", 200),
@@ -254,12 +258,12 @@ def _cmd_verify(cfg: dict, args: argparse.Namespace) -> int:
     try:
         for rep in reports:
             payload = rep.to_payload()
-            # keep report lines compact: drop the failure records, keep
-            # counters such as the maximizer's evals/sweeps/converged
+            # keep report lines compact: of the details, print only the
+            # maximizer's counters on the argmax-location lines
             details = payload.pop("details", {})
-            details.pop("failures", None)
-            if details:
-                payload["details"] = details
+            shown = {k: details[k] for k in _VERIFY_DETAIL_KEYS if k in details}
+            if shown:
+                payload["details"] = shown
             _emit(stream, payload)
             failed += 0 if rep.passed else 1
         _emit(

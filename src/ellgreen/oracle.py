@@ -209,21 +209,27 @@ def bracket_max(
     the best sample of a stage is sampled again in the next and the best
     value never drops.  Stops once every shrunk bracket is narrower than
     tol: for a unimodal function the returned argmax is then within tol
-    of the true one.  Returns (argmax, max value), one entry per bracket.
+    of the true one.  A tol below the float spacing at the argmax cannot
+    be met; the search then stops as soon as a stage narrows no bracket.
+    Returns (argmax, max value), one entry per bracket.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     rows = np.arange(lo.shape[0])
     frac = np.linspace(0.0, 1.0, _STAGE_POINTS)
     last = _STAGE_POINTS - 1
+    width = hi - lo
     while True:
-        t = lo[:, None] + (hi - lo)[:, None] * frac[None, :]
+        t = lo[:, None] + width[:, None] * frac[None, :]
         vals = f(t)
         best = np.argmax(vals, axis=1)
         lo = t[rows, np.maximum(best - 1, 0)]
         hi = t[rows, np.minimum(best + 1, last)]
-        if (hi - lo).max(initial=0.0) < tol:
+        # once a bracket is a few float spacings wide it stops narrowing
+        narrowed = hi - lo
+        if narrowed.max(initial=0.0) < tol or not (narrowed < width).any():
             return t[rows, best], vals[rows, best]
+        width = narrowed
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,10 @@ from .oracle import (
 )
 
 _BUNDLE_CHECKS = ("stationarity", "argmax-location", "argmax-value", "bounded", "base-value")
+# Newton stop for _push_to_mass: relative step size, and a cap that only a
+# broken solve reaches
+_PUSH_TOL = 1e-13
+_PUSH_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -113,14 +117,14 @@ def _sorted_frame_domain(cert: _CertificateBase) -> Ellipsoid:
     return Ellipsoid(p=cert.p_sorted, k=cert.ell.k)
 
 
-def _push_to_mass(rows: np.ndarray, two_p: np.ndarray, mass: float,
-                  *, tol: float = 1e-13, max_iter: int = 100) -> np.ndarray:
+def _push_to_mass(rows: np.ndarray, two_p: np.ndarray, mass: float) -> np.ndarray:
     """Scale each row by e^s so that sum_j (e^s t_j)^(2 p_j) equals mass.
 
     Newton on s for log-mass: log sum_j exp(2 p_j (log t_j + s)) is convex
     and increasing in s, so after at most one overshoot the iterates fall
     monotonically onto the root; it stops once every row's step is below
-    tol.  All-zero rows cannot be scaled and come back unchanged.
+    _PUSH_TOL relative to 1 + |s|, which takes about ten steps.  All-zero
+    rows cannot be scaled and come back unchanged.
     """
     with np.errstate(divide="ignore"):
         log_terms = two_p[None, :] * np.log(rows)
@@ -129,15 +133,19 @@ def _push_to_mass(rows: np.ndarray, two_p: np.ndarray, mass: float,
     log_terms = np.ascontiguousarray(log_terms[ok].T)
     s = np.zeros(log_terms.shape[1])
     target = math.log(mass)
-    for _ in range(max_iter):
+    for _ in range(_PUSH_MAX_ITER):
         e = log_terms + two_p[:, None] * s[None, :]
         top = e.max(axis=0)
         w = np.exp(e - top[None, :])
         total = w.sum(axis=0)
         step = (target - top - np.log(total)) / ((two_p @ w) / total)
         s += step
-        if np.abs(step).max(initial=0.0) < tol:
+        if (np.abs(step) < _PUSH_TOL * (1.0 + np.abs(s))).all():
             break
+    else:
+        raise InvariantViolation(
+            f"boundary push to mass {mass} still moving after {_PUSH_MAX_ITER} Newton steps"
+        )
     out = rows.copy()
     out[ok] *= np.exp(s)[:, None]
     return out

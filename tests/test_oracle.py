@@ -202,6 +202,26 @@ def test_bracket_max_runs_brackets_independently():
     assert len(calls) <= 10
 
 
+def test_bracket_max_stops_below_float_spacing():
+    # tolerances finer than the float spacing at the argmax cannot be met;
+    # the search must stop once its brackets no longer narrow
+    calls = []
+
+    def f(t: np.ndarray) -> np.ndarray:
+        calls.append(t.shape)
+        return -((t - np.array([[0.7], [-690.3]])) ** 2)
+
+    x, _ = bracket_max(f, np.array([0.0, -700.0]), np.array([1.0, -680.0]), tol=1e-17)
+    assert np.abs(x - np.array([0.7, -690.3])).max() < 1e-12
+    assert len(calls) <= 20
+
+    peak = maximize_profile(
+        lambda rows: -((rows - 0.3) ** 2).sum(axis=1), [(0.0, 1.0)],
+        OptimizerConfig(step_tol=1e-17),
+    )
+    assert abs(peak.x[0] - 0.3) < 1e-12
+
+
 def test_maximize_profile_rejects_nan():
     def objective(rows: np.ndarray) -> np.ndarray:
         out = rows[:, 0].copy()
