@@ -13,7 +13,11 @@ This module provides the numeric machinery behind that gap:
   slope quadratic alpha(u) that controls r' < 0;
 - a lower-bound search over four explicit holomorphic tail families,
   sup-normalized so it can never exceed the closed-form value.
-"""
+
+The 1-D searches run as array operations: a family profile broadcasts
+over (parameter rows x t), every t-polish and the exclusion polish go
+through oracle.bracket_max, and the parameter polishes of a family run in
+lockstep through oracle.golden_max."""
 
 from __future__ import annotations
 
@@ -26,10 +30,13 @@ import numpy as np
 from .certificates import MobiusCertificate, PoleProfileParams
 from .core import Ellipsoid, evaluate
 from .errors import DomainError, HypothesisNotMet, InputError, InvariantViolation
-from .oracle import VerificationReport, golden_max, maximize_profile
+from .oracle import VerificationReport, bracket_max, golden_max, maximize_profile
 
 # ---------------------------------------------------------------------------
 # barrier and obstruction window
+
+# smallest chord point find_chord_point tries
+_CHORD_FLOOR = 1e-60
 
 
 def _check_unit_interval(t: np.ndarray | float) -> np.ndarray:
@@ -65,7 +72,9 @@ def concavity_window(p: float, q: float) -> float:
     """Largest scan-grid b with the barrier slope strictly decreasing on (0, b].
 
     Strict decrease of phi' on a fine geometric grid is the testable proxy
-    for concavity of phi there.
+    for concavity of phi there.  When the slope already rises at the first
+    grid step (the inflection lies below 1e-6, as for p near 1), the grid
+    shows no concavity and the window is refused.
     """
     if not 0.0 < p < 1.0:
         raise InputError(f"p must lie in (0, 1), got {p}")
@@ -74,13 +83,12 @@ def concavity_window(p: float, q: float) -> float:
     grid = np.geomspace(1e-6, 1.0 - 1e-9, 1000)
     deriv = barrier_prime(grid, p, q)
     rising = np.nonzero(np.diff(deriv) >= 0.0)[0]
-    b = float(grid[rising[0]]) if rising.size else float(grid[-1])
-    if b < 1e-8:
-        raise InvariantViolation(
-            f"no concavity window above 1e-8 for p={p}, q={q}; the slope should "
-            "decrease near 0 for every p in (0,1)"
+    if rising.size and rising[0] == 0:
+        raise HypothesisNotMet(
+            f"no concavity window on the scan grid for p={p}, q={q}: the barrier "
+            f"slope already rises from t={grid[0]:.0e} to t={grid[1]:.3e}"
         )
-    return b
+    return float(grid[rising[0]]) if rising.size else float(grid[-1])
 
 
 def chord_margin(c: float, p: float, q: float, b: float) -> float:
@@ -92,17 +100,20 @@ def find_chord_point(p: float, q: float, b: float) -> tuple[float, float]:
     """First c on the halving grid b/2, b/4, ... with positive chord slack.
 
     The slack grows without bound as c decreases (the chord slope blows
-    up), so the scan terminates; the 1e-60 floor turns a logic error into
-    a loud failure instead of a hang.
+    up), so a chord point exists; but it sits near (q b / 2)^(1/(1-p)),
+    which for p near 1 is far below float range.  The scan stops at a
+    1e-60 floor and refuses the window there instead of running on.
     """
     c = b / 2.0
-    while c > 1e-60:
+    while c > _CHORD_FLOOR:
         margin = chord_margin(c, p, q, b)
         if margin > 0.0:
             return c, float(margin)
         c /= 2.0
-    raise InvariantViolation(
-        f"no chord point found above 1e-60 for p={p}, q={q}, b={b}"
+    exponent = math.log10(q * b / 2.0) / (1.0 - p)
+    raise HypothesisNotMet(
+        f"no chord point above the {_CHORD_FLOOR:g} floor for p={p}, q={q}, b={b}: "
+        f"it lies near (q b / 2)^(1/(1-p)) = 1e{exponent:.0f}"
     )
 
 
@@ -164,8 +175,10 @@ def exclusion_demo(
     """Scan |f(t)| / phi(t) on [0, b] for random candidates f; the argmax
     must sit at 0 (within 1e-6) or at modulus >= c - 1e-6, never inside.
 
-    The grid argmax is polished by a golden-section pass over its bracket
-    before classification, since the grid spacing exceeds the 1e-6 slack.
+    The grid spacing exceeds the 1e-6 slack, so a grid argmax within one
+    spacing of the forbidden interval is polished before classification:
+    the scan collects those trials and one bracket_max call refines all of
+    their brackets together.  details["polished"] counts them.
     """
     if samples < 2:
         raise InputError(f"exclusion scan needs samples >= 2, got {samples}")
@@ -175,31 +188,45 @@ def exclusion_demo(
     phi = np.asarray(barrier(t, p, q))
     spacing = window.b / (samples - 1)
     lower_gate = window.c - 1e-6
-    violations = 0
-    witness = None
     profiles: list[list[float]] = []
+    polish: list[tuple[int, np.ndarray, int]] = []   # (trial, coeffs, grid argmax)
     for i in range(trials):
         coeffs = next(gen)
         ratio = np.abs(np.polyval(coeffs, t)) / phi
         j = int(np.argmax(ratio))
-        loc = float(t[j])
         if collect and len(profiles) < collect:
             profiles.append(ratio.tolist())
         # polishing can move the argmax by at most one bracket
-        if loc - spacing >= lower_gate or loc + spacing <= 1e-6:
-            continue
+        if not (t[j] - spacing >= lower_gate or t[j] + spacing <= 1e-6):
+            polish.append((i, coeffs, j))
+    violations = 0
+    witness = None
+    if polish:
+        width = max(coeffs.size for _, coeffs, _ in polish)
+        padded = np.zeros((len(polish), width), dtype=complex)
+        for row, (_, coeffs, _) in enumerate(polish):
+            padded[row, width - coeffs.size:] = coeffs   # leading zeros keep Horner exact
+        grid_j = np.array([j for _, _, j in polish])
 
-        def scalar_ratio(x: float, coeffs=coeffs) -> float:
-            return float(abs(np.polyval(coeffs, x)) / barrier(x, p, q))
+        def ratio_at(x: np.ndarray) -> np.ndarray:
+            acc = np.zeros(x.shape, dtype=complex)
+            for col in range(width):
+                acc = acc * x + padded[:, col, None]
+            return np.abs(acc) / barrier(x, p, q)
 
-        lo = t[max(j - 1, 0)]
-        hi = t[min(j + 1, samples - 1)]
-        loc, _ = golden_max(scalar_ratio, float(lo), float(hi), tol=1e-10)
-        if not (loc <= 1e-6 or loc >= lower_gate):
-            violations += 1
-            if witness is None:
-                witness = {"candidate": i, "argmax": loc, "coeffs": [[c.real, c.imag] for c in coeffs]}
-    details: dict = {"b": window.b, "c": window.c, "margin": window.margin}
+        loc, _ = bracket_max(
+            ratio_at, t[np.maximum(grid_j - 1, 0)], t[np.minimum(grid_j + 1, samples - 1)],
+            tol=1e-10,
+        )
+        inside = (loc > 1e-6) & (loc < lower_gate)
+        violations = int(inside.sum())
+        if violations:
+            first = int(np.argmax(inside))
+            i, coeffs, _ = polish[first]
+            witness = {"candidate": i, "argmax": float(loc[first]),
+                       "coeffs": [[c.real, c.imag] for c in coeffs]}
+    details: dict = {"b": window.b, "c": window.c, "margin": window.margin,
+                     "polished": len(polish)}
     if profiles:
         details["profiles"] = {"t": t.tolist(), "phi": phi.tolist(), "ratios": profiles}
     return VerificationReport(
@@ -376,95 +403,165 @@ class FamilySearchResult:
         }
 
 
-class _ProfileScorer:
-    """Sup-normalized value of one tail family along the active coordinate.
+# parameter rows per scoring call: the t-grid temporaries of one call are
+# (rows x 513) arrays, so this caps the search's memory
+_SCORE_CHUNK = 64
+# pole locations of the outer-pole family, one exponent search each
+_OUTER_POLES = (1.0 + 1e-6, 1.05, 1.2, 1.5, 2.0, 3.0, 4.0)
 
-    score(log_h) = R * profile(t0) / (sup_t profile(t) * (1 + 1e-6)) with
+
+class _ProfileScorer:
+    """Sup-normalized values of one tail family along the active coordinate.
+
+    score = R * profile(t0) / (sup_t profile(t) * (1 + 1e-6)) with
     profile(t) = h(t) (1 - t^(2 p)) ^ q_d; the sup always includes t0, so a
-    score can never exceed R.
+    score can never exceed R.  One call scores a batch of parameter rows,
+    _SCORE_CHUNK at a time: each chunk is one array operation over the
+    513-point t-grid, and one bracket_max call then polishes every row's
+    grid argmax.  The scorer holds the search budget: rows past it are not
+    scored and come back -inf.
     """
 
-    def __init__(self, reference: float, q_d: float, two_p: float, t0: float):
+    def __init__(self, reference: float, q_d: float, two_p: float, t0: float, budget: int):
         self.reference = reference
         self.q_d = q_d
         self.two_p = two_p
-        self.t0 = t0
+        self.t0 = np.array([t0])
         self.grid = np.linspace(0.0, 1.0 - 1e-9, 513)
         self.log_rd_grid = q_d * np.log1p(-(self.grid ** two_p))
         self.log_rd_t0 = q_d * math.log1p(-(t0 ** two_p))
+        self.budget = budget
         self.evals = 0
 
-    def score(self, log_h: Callable[[np.ndarray], np.ndarray]) -> float:
-        self.evals += 1
-        logs = log_h(self.grid) + self.log_rd_grid
-        j = int(np.nanargmax(logs))
+    def score(self, log_h: Callable[..., np.ndarray], m: np.ndarray,
+              x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Scores of the parameter rows (m, x, r); -inf past the budget."""
+        out = np.full(x.size, -np.inf)
+        count = min(x.size, max(self.budget - self.evals, 0))
+        self.evals += count
+        for s in range(0, count, _SCORE_CHUNK):
+            rows = slice(s, min(s + _SCORE_CHUNK, count))
+            out[rows] = self._score_chunk(log_h, m[rows, None], x[rows, None], r[rows, None])
+        return out
 
-        def scalar(x: float) -> float:
-            return float(log_h(np.array([x]))[0]) + self.q_d * math.log1p(-(x ** self.two_p))
+    def _score_chunk(self, log_h, m, x, r) -> np.ndarray:
+        logs = log_h(self.grid, m, x, r) + self.log_rd_grid
+        j = np.nanargmax(logs, axis=1)
+        last = self.grid.size - 1
 
-        lo = self.grid[max(j - 1, 0)]
-        hi = self.grid[min(j + 1, self.grid.size - 1)]
-        _, polished = golden_max(scalar, float(lo), float(hi), tol=1e-12)
-        at_t0 = float(log_h(np.array([self.t0]))[0]) + self.log_rd_t0
-        log_sup = max(float(logs[j]), polished, at_t0)
-        return self.reference * math.exp(at_t0 - log_sup) / (1.0 + 1e-6)
+        def line(t: np.ndarray) -> np.ndarray:
+            return log_h(t, m, x, r) + self.q_d * np.log1p(-(t ** self.two_p))
+
+        _, polished = bracket_max(
+            line, self.grid[np.maximum(j - 1, 0)], self.grid[np.minimum(j + 1, last)],
+            tol=1e-12,
+        )
+        at_t0 = log_h(self.t0, m, x, r)[:, 0] + self.log_rd_t0
+        log_sup = np.maximum(np.maximum(logs[np.arange(j.size), j], polished), at_t0)
+        return self.reference * np.exp(at_t0 - log_sup) / (1.0 + 1e-6)
 
 
-def _family_log_h(
-    name: str, is_hyper: bool, m: int, params: dict
-) -> Callable[[np.ndarray], np.ndarray]:
+def _times_log(m: np.ndarray, log_val: np.ndarray) -> np.ndarray:
+    """m * log_val, exactly 0 on the m = 0 rows even where log_val is -inf."""
+    shape = np.broadcast_shapes(m.shape, log_val.shape)
+    return np.multiply(m, log_val, out=np.zeros(shape), where=m > 0)
+
+
+def _family_log_h(name: str, is_hyper: bool) -> Callable[..., np.ndarray]:
     """Boundary modulus profile log|h(t)| on t in [0, 1); every family takes
-    its circle maximum on the positive real axis."""
-    def log_t(t: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.where(t > 0.0, np.log(np.where(t > 0.0, t, 1.0)), -np.inf)
+    its circle maximum on the positive real axis.
 
+    The profile is log_h(t, m, x, r): m, the swept parameter x and the
+    fixed pole r are (rows, 1) columns, t is a (points,) or (rows, points)
+    array, and the result is (rows, points).  log 0 = -inf marks a zero of h.
+    """
     if name == "power-shift":
-        r = params["r"]
-        e = 1 if is_hyper else 0
-
-        def f(t: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(t)
-            if e:
-                out = out + log_t(t)
-            if m:
-                with np.errstate(divide="ignore"):
-                    out = out + m * np.where(t + r > 0.0, np.log(np.maximum(t + r, 1e-300)), -np.inf)
-            return out
+        def f(t, m, x, r):
+            with np.errstate(divide="ignore"):
+                out = _times_log(m, np.log(t + x))
+                return out + np.log(t) if is_hyper else out
         return f
     if name == "binomial-power":
-        alpha = params["alpha"]
-        e = 1 if is_hyper else 0
-
-        def f(t: np.ndarray) -> np.ndarray:
-            out = alpha * np.log1p(t)
-            if e:
-                out = out + log_t(t)
+        def f(t, m, x, r):
+            out = x * np.log1p(t)
+            if is_hyper:
+                with np.errstate(divide="ignore"):
+                    out = out + np.log(t)
             return out
         return f
     if name == "outer-pole":
-        alpha, r = params["alpha"], params["r"]
-
-        def f(t: np.ndarray) -> np.ndarray:
-            out = alpha * np.log(r - t)
-            if m:
-                out = out + m * log_t(t)
-            return out
+        def f(t, m, x, r):
+            with np.errstate(divide="ignore"):
+                return x * np.log(r - t) + _times_log(m, np.log(t))
         return f
     if name == "mobius-factor":
-        delta = params["delta"]
-
-        def f(t: np.ndarray) -> np.ndarray:
+        def f(t, m, x, r):
             with np.errstate(divide="ignore"):
-                blend = np.where(
-                    t + delta > 0.0, np.log(np.maximum(t + delta, 1e-300)), -np.inf
-                ) - np.log1p(delta * t)
-            out = blend
-            if m:
-                out = out + m * log_t(t)
-            return out
+                blend = np.log(t + x) - np.log1p(x * t)
+                return blend + _times_log(m, np.log(t))
         return f
     raise InputError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
+
+
+def _family_refines(
+    name: str, is_hyper: bool
+) -> tuple[str, list[tuple[int, float, float, float, int]]]:
+    """The swept parameter of a family and its 1-D searches, in search
+    order: (m, fixed pole r, lo, hi, grid points) each."""
+    m_lo = 1 if is_hyper else 0
+    if name == "power-shift":
+        return "r", [(m, 0.0, 0.0, 3.0, 33) for m in range(0, 9)]
+    if name == "binomial-power":
+        # e.g. the exponent solving stationarity in fully convex cases
+        return "alpha", [(0, 0.0, 1e-3, 60.0, 65)]
+    if name == "outer-pole":
+        return "alpha", [
+            (m, r, -60.0, -1e-3, 17) for m in range(m_lo, 9) for r in _OUTER_POLES
+        ]
+    if name == "mobius-factor":
+        return "delta", [(m, 0.0, 0.0, 1.0, 33) for m in range(m_lo, 9)]
+    raise InputError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
+
+
+def _search_family(name: str, is_hyper: bool, scorer: _ProfileScorer) -> tuple[float, dict]:
+    """Best score of one family and its parameters, -inf if nothing was scored.
+
+    Every 1-D search (refine) scores its whole grid in one batch, and then
+    the golden-section polishes of all refines run in lockstep, one scored
+    point per refine still narrowing in each step.  Ties go to the earliest
+    point in refine order, as if the refines had run one after another.
+    """
+    key, refines = _family_refines(name, is_hyper)
+    log_h = _family_log_h(name, is_hyper)
+    m = np.array([s[0] for s in refines], dtype=float)
+    r = np.array([s[1] for s in refines])
+    grids = [np.linspace(lo, hi, points) for _, _, lo, hi, points in refines]
+    sizes = [g.size for g in grids]
+    owner = np.repeat(np.arange(len(refines)), sizes)
+    vals = np.split(scorer.score(log_h, m[owner], np.concatenate(grids), r[owner]),
+                    np.cumsum(sizes)[:-1])
+    best, best_x, lo, hi = (np.empty(len(refines)) for _ in range(4))
+    for i, (grid, v) in enumerate(zip(grids, vals)):
+        j = int(np.argmax(v))
+        best[i], best_x[i] = v[j], grid[j]
+        lo[i], hi[i] = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
+
+    def line(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        v = scorer.score(log_h, m[rows], x, r[rows])
+        better = v > best[rows]
+        best[rows[better]] = v[better]
+        best_x[rows[better]] = x[better]
+        return v
+
+    if scorer.evals < scorer.budget:
+        golden_max(line, lo, hi, tol=1e-10, max_iter=60)
+    value, params = -math.inf, {}
+    for i, (m_i, r_i, *_) in enumerate(refines):
+        if best[i] > value:
+            value = float(best[i])
+            params = {"r": r_i} if name == "outer-pole" else {}
+            params.update({key: float(best_x[i]), "m": m_i})
+    return value, params
 
 
 def candidate_family_search(
@@ -483,6 +580,9 @@ def candidate_family_search(
     multiplies a pole coordinate it always carries a vanishing zeta
     factor.  budget caps the number of scored parameter points; running
     out returns the best so far flagged incomplete.
+
+    The search is deterministic: seed changes nothing and stays only
+    because the CLI and the benchmark pass it.
     """
     for name in families:
         if name not in FAMILY_NAMES:
@@ -510,82 +610,32 @@ def candidate_family_search(
     is_hyper = slot < ell.k
     scorer = _ProfileScorer(
         reference=res.value, q_d=res.q_d,
-        two_p=2.0 * ps_sorted[slot], t0=ms_sorted[slot],
+        two_p=2.0 * ps_sorted[slot], t0=ms_sorted[slot], budget=budget,
     )
 
-    best = {"value": -math.inf, "family": None, "params": {}}
+    best_value, best_family, best_params = -math.inf, None, {}
     outcomes: list[FamilyOutcome] = []
     complete = True
-
-    def consider(name: str, m: int, params: dict, fam_best: dict) -> float:
-        val = scorer.score(_family_log_h(name, is_hyper, m, params))
-        record = dict(params)
-        record["m"] = m
-        if val > fam_best["value"]:
-            fam_best.update(value=val, params=record)
-        if val > best["value"]:
-            best.update(value=val, family=name, params=record)
-        return val
-
-    def refine_1d(name: str, m: int, key: str, lo: float, hi: float,
-                  fixed: dict, fam_best: dict, points: int = 33) -> None:
-        grid = np.linspace(lo, hi, points)
-        vals = []
-        for x in grid:
-            if scorer.evals >= budget:
-                return
-            vals.append(consider(name, m, {**fixed, key: float(x)}, fam_best))
-        j = int(np.argmax(vals))
-        a = grid[max(j - 1, 0)]
-        c = grid[min(j + 1, points - 1)]
-
-        def line(x: float) -> float:
-            if scorer.evals >= budget:
-                return -math.inf
-            return consider(name, m, {**fixed, key: float(x)}, fam_best)
-
-        golden_max(line, float(a), float(c), tol=1e-10, max_iter=60)
-
     for name in families:
-        fam_best = {"value": -math.inf, "params": {}}
         start_evals = scorer.evals
-        if name == "power-shift":
-            for m in range(0, 9):
-                if scorer.evals >= budget:
-                    break
-                refine_1d(name, m, "r", 0.0, 3.0, {}, fam_best)
-        elif name == "binomial-power":
-            # e.g. the exponent solving stationarity in fully convex cases
-            refine_1d(name, 0, "alpha", 1e-3, 60.0, {}, fam_best, points=65)
-        elif name == "outer-pole":
-            for m in range(1 if is_hyper else 0, 9):
-                if scorer.evals >= budget:
-                    break
-                for r in (1.0 + 1e-6, 1.05, 1.2, 1.5, 2.0, 3.0, 4.0):
-                    if scorer.evals >= budget:
-                        break
-                    refine_1d(name, m, "alpha", -60.0, -1e-3, {"r": r}, fam_best, points=17)
-        elif name == "mobius-factor":
-            for m in range(1 if is_hyper else 0, 9):
-                if scorer.evals >= budget:
-                    break
-                refine_1d(name, m, "delta", 0.0, 1.0, {}, fam_best)
+        value, params = _search_family(name, is_hyper, scorer)
         if scorer.evals >= budget:
             complete = False
-        if math.isfinite(fam_best["value"]):
+        if math.isfinite(value):
             outcomes.append(
                 FamilyOutcome(
-                    name=name, params=fam_best["params"],
-                    lower_bound=fam_best["value"],
+                    name=name, params=params, lower_bound=value,
                     evals=scorer.evals - start_evals,
                 )
             )
+            if value > best_value:
+                best_value, best_family, best_params = value, name, params
         if not complete:
             break
 
-    lower = best["value"] if math.isfinite(best["value"]) else 0.0
+    lower = best_value if math.isfinite(best_value) else 0.0
     return FamilySearchResult(
         reference=res.value, lower_bound=lower, gap=res.value - lower,
-        family=best["family"], params=best["params"], complete=complete,
+        family=best_family, params=best_params, complete=complete,
         evals=scorer.evals, per_family=tuple(outcomes),
     )

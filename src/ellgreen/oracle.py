@@ -166,31 +166,55 @@ def sample_cube_rejection_moduli(
 
 
 def golden_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+    f: Callable,
+    lo: float | np.ndarray,
+    hi: float | np.ndarray,
     *,
     tol: float = 1e-9,
     max_iter: int = 200,
-) -> tuple[float, float]:
-    """Golden-section maximum of a scalar function on [lo, hi]."""
-    a, b = float(lo), float(hi)
+) -> tuple:
+    """Golden-section maxima on [lo, hi], one search per bracket, in lockstep.
+
+    With scalar lo and hi, f maps a float to a float and the result is the
+    pair (x, f(x)) of floats.  With arrays of brackets, f(rows, x) takes the
+    indices of the brackets being sampled and one abscissa for each, and
+    returns their values; after the two interior points, each step samples
+    one point per bracket still wider than tol, so a bracket costs what its
+    own scalar search would.  Every search stops after max_iter steps; the
+    result is each final bracket's midpoint and the value there.
+    """
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    if scalar:
+        def g(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+            return np.array([f(float(x[0]))], dtype=float)
+    else:
+        g = f
+    a = np.atleast_1d(np.array(lo, dtype=float))
+    b = np.atleast_1d(np.array(hi, dtype=float))
+    every = np.arange(a.size)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while b - a > tol and it < max_iter:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        it += 1
+    fc = np.asarray(g(every, c), dtype=float)
+    fd = np.asarray(g(every, d), dtype=float)
+    for _ in range(max_iter):
+        live = np.flatnonzero(b - a > tol)
+        if not live.size:
+            break
+        left = fc[live] >= fd[live]
+        keep, move = live[left], live[~left]
+        # left: the maximum lies in [a, d]; else in [c, b]
+        b[keep], d[keep], fd[keep] = d[keep], c[keep], fc[keep]
+        a[move], c[move], fc[move] = c[move], d[move], fd[move]
+        c[keep] = b[keep] - _GOLDEN * (b[keep] - a[keep])
+        d[move] = a[move] + _GOLDEN * (b[move] - a[move])
+        vals = np.asarray(g(live, np.where(left, c[live], d[live])), dtype=float)
+        fc[keep] = vals[left]
+        fd[move] = vals[~left]
     x = (a + b) / 2.0
-    return x, f(x)
+    fx = np.asarray(g(every, x), dtype=float)
+    if scalar:
+        return float(x[0]), float(fx[0])
+    return x, fx
 
 
 def bracket_max(

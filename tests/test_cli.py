@@ -323,6 +323,28 @@ def test_gap_gate_refusal_exits_3(tmp_path, capsys):
     assert "hypothesis not met" in err
 
 
+@pytest.mark.parametrize(
+    "payload, names",
+    [
+        ({"p": [1.0, 0.4999999999], "k": 1}, ["concavity", "p=0.9999999998", "q=0.5"]),
+        ({"p": [1.0, 0.495], "k": 1}, ["1e-60 floor", "p=0.99", "q=0.5", "b="]),
+        ({"p": [10.0, 0.495], "k": 1}, ["1e-60 floor", "p=0.99", "q=0.05", "b="]),
+        ({"p": [0.1, 0.495], "k": 1}, ["1e-60 floor", "p=0.99", "q=5.0", "b="]),
+    ],
+    ids=["p-half-minus-1e-10", "p-0.495-q0.5", "p-0.495-q0.05", "p-0.495-q5"],
+)
+def test_gap_window_beyond_float_range_exits_3(tmp_path, capsys, payload, names):
+    # the window exists near p_j = 1/2, but the scan cannot resolve it
+    cfg = _write_config(tmp_path, payload)
+    code, out, err = _run(capsys, ["gap", "--config", cfg])
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hypothesis not met: ")
+    for name in names:
+        assert name in lines[0]
+
+
 def test_gap_demo_stdout(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

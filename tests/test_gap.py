@@ -10,6 +10,8 @@ from ellgreen.errors import DomainError, HypothesisNotMet, InputError
 from ellgreen.gap import (
     FAMILY_NAMES,
     ObstructionWindow,
+    _ProfileScorer,
+    _family_log_h,
     barrier,
     barrier_minus_one,
     barrier_prime,
@@ -87,6 +89,23 @@ def test_find_chord_point_hard_pair():
     assert 1e-25 < c < 1e-19
 
 
+def test_concavity_window_refuses_inflection_below_grid():
+    # for p near 1 the inflection ((1-p)/(1+qp))^(1/p) lies below the
+    # first grid point, so the slope already rises at the first step
+    with pytest.raises(HypothesisNotMet, match="p=0.999999"):
+        concavity_window(0.999999, 0.5)
+
+
+def test_find_chord_point_refuses_below_floor():
+    # the chord point (q b / 2)^(1/(1-p)) exists but is far below 1e-60
+    for q in (0.05, 0.5, 5.0):
+        b = concavity_window(0.99, q)
+        with pytest.raises(HypothesisNotMet, match="1e-60 floor"):
+            find_chord_point(0.99, q, b)
+        with pytest.raises(HypothesisNotMet, match=f"q={q}, b="):
+            ObstructionWindow.find(0.99, q)
+
+
 def test_obstruction_window_find_and_validation():
     w = ObstructionWindow.find(0.5, 1.0)
     assert 0.0 < w.c < w.b < 1.0 and w.margin > 0.0
@@ -123,6 +142,16 @@ def test_exclusion_random_candidates_pass_and_collect():
     assert rep.passed, rep.witness
     assert len(rep.details["profiles"]["ratios"]) == 2
     assert rep.check == "exclusion-p0.6-q0.5"
+
+
+def test_exclusion_counts_polished_trials():
+    # a constant peaks at 0, within one grid spacing of the forbidden
+    # interval, so it is polished; t peaks at b >= c + spacing and is not
+    w = ObstructionWindow.find(0.5, 1.0)
+    gen = iter([np.array([0.7 + 0.0j]), np.array([1.0 + 0.0j, 0.0j])])
+    rep = exclusion_demo(0.5, 1.0, w, gen, trials=2, samples=2_000, seed=0)
+    assert rep.passed
+    assert rep.details["polished"] == 1
 
 
 def test_exclusion_needs_two_samples():
@@ -274,11 +303,63 @@ def test_family_search_input_validation():
         candidate_family_search(Ellipsoid(p=(1.0, 1.0), k=1), (0.0j, 0.4 + 0j))
 
 
-def test_family_search_budget_exhaustion():
+@pytest.mark.parametrize("budget", [1, 2, 33, 500, 3000])
+def test_family_search_budget_exhaustion(budget):
+    # a full search of this point scores about 6,000 parameter points
     ell = Ellipsoid(p=(1.0, 1.0), k=1)
-    res = candidate_family_search(ell, (0.3 + 0j, 0.5 + 0j), budget=1)
+    res = candidate_family_search(ell, (0.3 + 0j, 0.5 + 0j), budget=budget)
     assert not res.complete
-    assert res.evals <= 2
+    assert res.evals <= budget
+    assert sum(f.evals for f in res.per_family) == res.evals
+    assert res.lower_bound <= res.reference
+
+
+def _dense_log_h(name, is_hyper, m, x, r, t):
+    """log|h(t)| of each family written from its closed form."""
+    e = 1.0 if is_hyper else 0.0
+    if name == "power-shift":
+        h = t ** e * (t + x) ** m
+    elif name == "binomial-power":
+        h = t ** e * (1.0 + t) ** x
+    elif name == "outer-pole":
+        h = t ** m * (r - t) ** x
+    else:
+        h = t ** m * (t + x) / (1.0 + x * t)
+    with np.errstate(divide="ignore"):
+        return np.log(h)
+
+
+# (family, m, swept parameter, fixed pole r)
+_SCORER_POINTS = (
+    ("power-shift", 0, 0.0, 0.0), ("power-shift", 2, 0.3, 0.0), ("power-shift", 5, 2.5, 0.0),
+    ("binomial-power", 0, 0.5, 0.0), ("binomial-power", 0, 30.0, 0.0),
+    ("outer-pole", 0, -50.0, 2.0), ("outer-pole", 3, -0.4, 1.0 + 1e-6),
+    ("outer-pole", 1, -5.0, 1.2),
+    ("mobius-factor", 0, 0.6, 0.0), ("mobius-factor", 1, 0.0, 0.0),
+    ("mobius-factor", 4, 0.9, 0.0),
+)
+
+
+@pytest.mark.parametrize("q_d, two_p, t0", [(0.5, 0.6, 0.1), (0.5, 2.0, 0.5), (1.5, 1.2, 0.3)])
+@pytest.mark.parametrize("is_hyper", [False, True])
+def test_profile_scorer_matches_dense_grid(q_d, two_p, t0, is_hyper):
+    # the batched scorer against an independent dense t-grid sup: never
+    # above R * profile(t0) / (dense_sup * (1 + 1e-6)), and close to it
+    t = np.concatenate([np.linspace(0.0, 1.0 - 1e-9, 200_001), [t0]])
+    log_rd = q_d * np.log1p(-(t ** two_p))
+    for name in FAMILY_NAMES:
+        rows = [pt for pt in _SCORER_POINTS if pt[0] == name]
+        m = np.array([pt[1] for pt in rows], dtype=float)
+        x = np.array([pt[2] for pt in rows])
+        r = np.array([pt[3] for pt in rows])
+        scorer = _ProfileScorer(reference=1.0, q_d=q_d, two_p=two_p, t0=t0, budget=100)
+        got = scorer.score(_family_log_h(name, is_hyper), m, x, r)
+        assert scorer.evals == len(rows)
+        for i, (_, m_i, x_i, r_i) in enumerate(rows):
+            logs = _dense_log_h(name, is_hyper, m_i, x_i, r_i, t) + log_rd
+            bound = math.exp(logs[-1] - logs.max()) / (1.0 + 1e-6)
+            assert got[i] <= bound * (1.0 + 1e-9), (name, m_i, x_i, r_i)
+            assert got[i] >= bound * (1.0 - 1e-6), (name, m_i, x_i, r_i)
 
 
 def test_family_search_payload():

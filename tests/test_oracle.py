@@ -113,6 +113,69 @@ def test_golden_max_quadratic():
     assert v == pytest.approx(0.0, abs=1e-16)
 
 
+def _scalar_golden_reference(f, lo, hi, tol, max_iter):
+    """The scalar golden-section loop golden_max must reproduce exactly."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    it = 0
+    while b - a > tol and it < max_iter:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+        it += 1
+    x = (a + b) / 2.0
+    return x, f(x)
+
+
+def test_golden_max_scalar_matches_reference_loop():
+    cases = [
+        (lambda t: -(t - 0.3) ** 2, 0.0, 1.0, 1e-12, 200),
+        (lambda t: math.sin(3.0 * t), -1.0, 2.0, 1e-10, 60),
+        (lambda t: -abs(t - 1e-7), 0.0, 0.1875, 1e-10, 60),
+        (lambda t: t, 0.0, 1.0, 1e-9, 5),              # stops on max_iter
+    ]
+    for f, lo, hi, tol, max_iter in cases:
+        seen_new, seen_ref = [], []
+        got = golden_max(lambda t: seen_new.append(t) or f(t), lo, hi, tol=tol, max_iter=max_iter)
+        want = _scalar_golden_reference(
+            lambda t: seen_ref.append(t) or f(t), lo, hi, tol, max_iter
+        )
+        assert got == want
+        assert seen_new == seen_ref
+        assert all(type(t) is float for t in seen_new)
+
+
+def test_golden_max_brackets_run_as_separate_searches():
+    centers = np.array([0.3, -0.2, 1.7, 0.05])
+    lo = np.array([0.0, -1.0, 1.0, 0.0])
+    hi = np.array([1.0, 3.0, 1.9, 0.1])   # different widths stop at different steps
+    calls = np.zeros(centers.size, dtype=int)
+
+    def f(rows, x):
+        calls[rows] += 1
+        return -(x - centers[rows]) ** 2
+
+    x, v = golden_max(f, lo, hi, tol=1e-10, max_iter=60)
+    for i in range(centers.size):
+        count = [0]
+
+        def one(t, i=i):
+            count[0] += 1
+            return -(t - centers[i]) ** 2
+
+        want = golden_max(one, lo[i], hi[i], tol=1e-10, max_iter=60)
+        assert (x[i], v[i]) == want
+        assert calls[i] == count[0]
+    assert len(set(calls.tolist())) > 1
+
+
 def test_maximize_profile_separable():
     target = np.array([0.2, 0.7, 0.45])
 
